@@ -6,6 +6,9 @@
 // measure the software rate this machine sustains, and (2) prints the
 // modeled-hardware rate, where the BlueField-2-class message rate is the
 // binding resource (the paper's bottleneck).
+// The layer ledger replays the same reports through one standalone
+// shard with and without its secondary index, to price index
+// maintenance per report.
 // The sharded sweep at the bottom drives the dta::Client facade over a
 // LocalBackend (sharded CollectorRuntime): shard counts 1/2/4/8 x
 // op-batch sizes, reporting the aggregate modeled ops/s (per-shard NIC
@@ -17,10 +20,13 @@
 //                     full-length runs only)
 //   --replay <path>   first replay a committed .dtatrace through the
 //                     fig10 store geometry and fail on any rejection
+#include <algorithm>
 #include <cstring>
 
 #include "analysis/hw_model.h"
 #include "bench_util.h"
+#include "collector/index_publisher.h"
+#include "collector/shard.h"
 #include "dtalib/client.h"
 #include "dtalib/fabric.h"
 #include "dtalib/replay_backend.h"
@@ -165,10 +171,63 @@ HotPathAblation run_hot_path_ablation(std::uint32_t report_count) {
   return out;
 }
 
-// Machine-readable output: the ablation ratios are the CI regression
-// gate (ratios, not absolute rates, so the gate is portable across
-// runner hardware); the single-shard rates ride along as data.
-void write_bench_json(const HotPathAblation& ablation) {
+// Layer ledger: the same Key-Write reports replayed through a
+// standalone CollectorShard (translate, dirty marking, verb execution),
+// once bare and once with an IndexPublisher sink at the runtime's
+// default index config. The difference is what index maintenance adds
+// to shard ingest per report. The two replays alternate, five times
+// each, and each side keeps its fastest, so host drift hits both alike.
+struct LayerLedger {
+  double shard_ingest_ns = 0.0;
+  double index_ingest_ns = 0.0;
+  // Ingest rate with the index / rate without it.
+  double index_ingest_retained = 0.0;
+};
+
+LayerLedger run_layer_ledger(std::uint32_t report_count) {
+  std::vector<proto::ParsedDta> prebuilt;
+  prebuilt.reserve(report_count);
+  for (std::uint32_t i = 0; i < report_count; ++i) {
+    prebuilt.push_back(reports::keywrite_u32(benchutil::mixed_key(i), i));
+  }
+  const collector::CollectorRuntimeConfig defaults;
+  const auto replay_ns = [&](bool with_index) {
+    collector::ShardConfig config;
+    config.op_batch_size = defaults.op_batch_size;
+    collector::KeyWriteSetup kw;
+    kw.num_slots = 1 << 20;
+    kw.value_bytes = 4;
+    config.keywrite = kw;
+    collector::CollectorShard shard(0, config);
+    collector::IndexPublisherConfig index_config;
+    index_config.publish_batch = defaults.index_publish_batch;
+    index_config.target_leaf_entries = defaults.index_leaf_entries;
+    collector::IndexPublisher publisher(1, index_config);
+    if (with_index) shard.set_index_sink(&publisher);
+    benchutil::WallTimer timer;
+    for (const auto& p : prebuilt) shard.ingest(p);
+    shard.flush();
+    return timer.seconds() * 1e9 / report_count;
+  };
+  double bare_ns = replay_ns(false);
+  double indexed_ns = replay_ns(true);
+  for (int rep = 1; rep < 5; ++rep) {
+    bare_ns = std::min(bare_ns, replay_ns(false));
+    indexed_ns = std::min(indexed_ns, replay_ns(true));
+  }
+  LayerLedger out;
+  out.shard_ingest_ns = bare_ns;
+  out.index_ingest_ns = indexed_ns - bare_ns;
+  out.index_ingest_retained = bare_ns / indexed_ns;
+  return out;
+}
+
+// Machine-readable output: the ablation ratios and the index retention
+// ratio are the CI regression gate (ratios, not absolute rates, so the
+// gate is portable across runner hardware); the rates and the layer
+// ledger's per-report costs ride along as data.
+void write_bench_json(const HotPathAblation& ablation,
+                      const LayerLedger& ledger) {
   FILE* json = std::fopen("BENCH_fig10.json", "w");
   if (!json) return;
   std::fprintf(json,
@@ -177,11 +236,17 @@ void write_bench_json(const HotPathAblation& ablation) {
                ablation.wire_rate, ablation.direct_rate,
                ablation.batched_rate);
   std::fprintf(json,
+               "  \"layers\": {\"shard_ingest_ns\": %.1f, "
+               "\"index_ingest_ns\": %.1f},\n",
+               ledger.shard_ingest_ns, ledger.index_ingest_ns);
+  std::fprintf(json,
                "  \"gate\": {\n"
                "    \"direct_ingest_speedup\": %.3f,\n"
-               "    \"batched_ingest_speedup\": %.3f\n  }\n}\n",
+               "    \"batched_ingest_speedup\": %.3f,\n"
+               "    \"index_ingest_retained\": %.3f\n  }\n}\n",
                ablation.direct_rate / ablation.wire_rate,
-               ablation.batched_rate / ablation.wire_rate);
+               ablation.batched_rate / ablation.wire_rate,
+               ledger.index_ingest_retained);
   std::fclose(json);
   std::printf("\nwrote BENCH_fig10.json\n");
 }
@@ -308,6 +373,14 @@ int main(int argc, char** argv) {
   std::printf("  + batched submit (SoA blocks)   %12s  (%5.2fx)\n",
               benchutil::eng(ablation.batched_rate).c_str(),
               ablation.batched_rate / ablation.wire_rate);
-  if (!smoke) write_bench_json(ablation);
+
+  const auto ledger = run_layer_ledger(200000 / scale);
+  std::printf("\nLayer ledger (1 shard, N=2, 4B payloads, ns/report):\n");
+  std::printf("  shard ingest (translate + verbs) %10.1f\n",
+              ledger.shard_ingest_ns);
+  std::printf("  + index maintenance              %10.1f  (rate retained "
+              "%.2f)\n",
+              ledger.index_ingest_ns, ledger.index_ingest_retained);
+  if (!smoke) write_bench_json(ablation, ledger);
   return 0;
 }

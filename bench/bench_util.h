@@ -3,8 +3,9 @@
 // Every bench binary regenerates one table or figure from the paper's
 // evaluation. Output convention: a header naming the experiment, the
 // paper's reported numbers where applicable, and our measured/modeled
-// series — so EXPERIMENTS.md can record paper-vs-measured directly from
-// the bench logs.
+// series — so paper-vs-measured can be read directly from the bench
+// logs. Gated ratios go to BENCH_*.json, checked against the floors in
+// bench/baselines/ by bench/check_regression.py.
 //
 // Where the paper's number comes from 100G hardware, benches report the
 // *modeled-hardware* rate (NIC message-rate / link arithmetic driven by

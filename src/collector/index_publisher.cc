@@ -13,15 +13,11 @@ IndexPublisher::IndexPublisher(std::size_t num_shards, Config config)
 
 void IndexPublisher::apply_queue_locked(Shard& shard) {
   if (shard.queue.empty()) return;
-  std::uint64_t applied = 0;
-  while (!shard.queue.empty()) {
-    shard.builder.apply(shard.queue.front());
-    shard.queue.pop_front();
-    ++applied;
-  }
+  shard.builder.apply(shard.queue);
   std::atomic_store_explicit(&shard.published, shard.builder.publish(),
                              std::memory_order_release);
-  deltas_applied_.fetch_add(applied, std::memory_order_relaxed);
+  deltas_applied_.fetch_add(shard.queue.size(), std::memory_order_relaxed);
+  shard.queue.clear();
   publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 

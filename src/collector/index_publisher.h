@@ -3,17 +3,17 @@
 // ShardIndexVersion per shard.
 //
 // Writer side: CollectorShard::deliver_batch enqueues one IndexDelta
-// per delivered op batch — a lock, a deque push, an unlock. The builder
-// does NOT run per batch; deltas accumulate until `publish_batch` of
-// them are queued (the defer-publish window) and only then are they
-// folded in and a new version published. Readers therefore never make
-// ingest wait on index maintenance, and index maintenance is amortized
-// over many batches.
+// per delivered op batch — a lock, a vector push, an unlock. The
+// builder does NOT run per batch; deltas accumulate until
+// `publish_batch` of them are queued (the defer-publish window) and only
+// then is the whole window folded in with one merge and a new version
+// published. Readers therefore never make ingest wait on index
+// maintenance, and index maintenance is amortized over many batches.
 //
 // Reader side: version_at_least(shard, G) is the query-path entry
 // point, with G the generation of the snapshot the query pinned. Fast
 // path: the published version already covers G — one atomic load, no
-// lock. Slow path: drain the queue, apply, publish once, return. The
+// lock. Slow path: fold the queued window, publish once, return. The
 // shard enqueues each delta before bumping its generation counter, so
 // a generation observed from a snapshot is always covered by the queue;
 // the catch-up can never come up short.
@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -72,7 +71,7 @@ class IndexPublisher : public IndexSink {
  private:
   struct Shard {
     mutable Mutex mu;
-    std::deque<IndexDelta> queue DTA_GUARDED_BY(mu);
+    std::vector<IndexDelta> queue DTA_GUARDED_BY(mu);
     ShardIndexBuilder builder DTA_GUARDED_BY(mu);
     // Written under mu, but read lock-free on the fast path with
     // std::atomic_load — the atomic shared_ptr protocol, not the lock,
@@ -84,7 +83,7 @@ class IndexPublisher : public IndexSink {
           published(builder.publish()) {}
   };
 
-  // Folds every queued delta into the builder and publishes.
+  // Folds the queued window in with one merge and publishes.
   void apply_queue_locked(Shard& shard) DTA_REQUIRES(shard.mu);
 
   Config config_;

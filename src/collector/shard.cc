@@ -168,49 +168,39 @@ void CollectorShard::ingest_block(const OpBlock& block) {
   // CRC tables stay hot across the whole run instead of being re-fetched
   // per report through a variant dispatch.
   std::size_t before = pending_.size();
+  const auto deliver_if_full = [&] {
+    if (pending_.size() < op_batch_size_) return;
+    stats_.ops_batched += pending_.size() - before;
+    deliver_batch();
+    before = 0;
+  };
   if (keywrite_) {
     for (std::size_t i = 0; i < block.keywrites.size(); ++i) {
       stage_key(block.keywrites[i].key, kIndexKeyWrite);
       keywrite_->translate(block.keywrites[i], block.keywrite_meta[i].immediate,
                            pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
+      deliver_if_full();
     }
   }
   if (keyincrement_) {
     for (const auto& report : block.keyincrements) {
       stage_key(report.key, kIndexKeyIncrement);
       keyincrement_->translate(report, pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
+      deliver_if_full();
     }
   }
   if (postcarding_) {
     for (const auto& report : block.postcards) {
       stage_key(report.key, kIndexPostcarding);
       postcarding_->ingest(report, pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
+      deliver_if_full();
     }
   }
   if (append_) {
     for (std::size_t i = 0; i < block.appends.size(); ++i) {
       append_->ingest(block.appends[i], block.append_meta[i].immediate,
                       pending_);
-      if (pending_.size() >= op_batch_size_) {
-        stats_.ops_batched += pending_.size() - before;
-        deliver_batch();
-        before = 0;
-      }
+      deliver_if_full();
     }
   }
   stats_.ops_batched += pending_.size() - before;

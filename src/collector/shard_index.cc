@@ -1,14 +1,8 @@
 #include "collector/shard_index.h"
 
+#include <iterator>
+
 namespace dta::collector {
-
-namespace {
-
-bool entry_below_key(const IndexEntry& e, const proto::TelemetryKey& k) {
-  return index_key_less(e.key, k);
-}
-
-}  // namespace
 
 std::size_t ShardIndexVersion::first_leaf_not_below(
     const proto::TelemetryKey& key) const {
@@ -40,103 +34,99 @@ std::uint8_t ShardIndexVersion::lookup(const proto::TelemetryKey& key) const {
 ShardIndexBuilder::ShardIndexBuilder(std::uint32_t target_leaf_entries)
     : target_leaf_entries_(std::max<std::uint32_t>(target_leaf_entries, 2)) {}
 
-void ShardIndexBuilder::apply(const IndexDelta& delta) {
-  generation_ = std::max(generation_, delta.generation);
-  for (const auto& [list, entries] : delta.append_deltas) {
-    if (list >= append_heads_.size()) append_heads_.resize(list + 1, 0);
-    append_heads_[list] += entries;
+void ShardIndexBuilder::apply(common::Span<const IndexDelta> window) {
+  keys_.clear();
+  for (const IndexDelta& delta : window) {
+    generation_ = std::max(generation_, delta.generation);
+    for (const auto& [list, entries] : delta.append_deltas) {
+      if (list >= append_heads_.size()) append_heads_.resize(list + 1, 0);
+      append_heads_[list] += entries;
+    }
+    keys_.insert(keys_.end(), delta.keys.begin(), delta.keys.end());
   }
-  if (delta.keys.empty()) return;
+  if (keys_.empty()) return;
 
-  // Sort the delta's keys and OR-merge duplicate masks, so each
-  // affected leaf is located and copied at most once per apply.
-  std::vector<IndexEntry> keys = delta.keys;
-  std::sort(keys.begin(), keys.end(),
+  // Sort the whole window once and OR-merge duplicate masks.
+  std::sort(keys_.begin(), keys_.end(),
             [](const IndexEntry& a, const IndexEntry& b) {
               return index_key_less(a.key, b.key);
             });
   std::size_t unique = 0;
-  for (std::size_t i = 1; i < keys.size(); ++i) {
-    if (keys[i].key == keys[unique].key) {
-      keys[unique].primitives |= keys[i].primitives;
+  for (std::size_t i = 1; i < keys_.size(); ++i) {
+    if (keys_[i].key == keys_[unique].key) {
+      keys_[unique].primitives |= keys_[i].primitives;
     } else {
-      keys[++unique] = keys[i];
+      keys_[++unique] = keys_[i];
     }
   }
-  keys.resize(unique + 1);
+  keys_.resize(unique + 1);
 
-  if (leaves_.empty()) {
-    leaves_.push_back(std::make_shared<IndexLeaf>(IndexLeaf{std::move(keys)}));
-    key_count_ = leaves_.back()->entries.size();
-  } else {
-    // Walk the sorted delta, grouping the run of keys that lands in one
-    // leaf, and COW-merge that leaf once per group.
-    std::size_t i = 0;
-    while (i < keys.size()) {
-      // Last leaf whose first entry is <= keys[i] (every leaf is
-      // non-empty by construction).
-      std::size_t lo = 0, hi = leaves_.size() - 1;
-      while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo + 1) / 2;
-        if (index_key_less(keys[i].key, leaves_[mid]->entries.front().key)) {
-          hi = mid - 1;
-        } else {
-          lo = mid;
-        }
-      }
-      const std::size_t target = lo;
-      // The group: every delta key before the next leaf's first key.
-      std::size_t j = i + 1;
-      if (target + 1 < leaves_.size()) {
-        const proto::TelemetryKey& next_first =
-            leaves_[target + 1]->entries.front().key;
-        while (j < keys.size() && index_key_less(keys[j].key, next_first)) {
-          ++j;
-        }
+  // One ordered pass over the leaves. Untouched leaves move across to
+  // next_ as they are; the run of keys that lands in one leaf (the last
+  // whose first key is <= the run's first, else leaf 0) is merged into
+  // one fresh copy of it. Every leaf is non-empty, except the stand-in
+  // for an empty builder, which the first run replaces.
+  if (leaves_.empty()) leaves_.push_back(std::make_shared<const IndexLeaf>());
+  const auto below_leaf = [](const proto::TelemetryKey& key,
+                             const std::shared_ptr<const IndexLeaf>& leaf) {
+    return index_key_less(key, leaf->entries.front().key);
+  };
+  next_.clear();
+  auto settled = leaves_.begin();  // leaves before it are in next_
+  for (auto key = keys_.begin(); key != keys_.end();) {
+    const auto after =
+        std::upper_bound(settled + 1, leaves_.end(), key->key, below_leaf);
+    const auto leaf = after - 1;
+    next_.insert(next_.end(), std::make_move_iterator(settled),
+                 std::make_move_iterator(leaf));
+    auto run_end = keys_.end();
+    if (after != leaves_.end()) {
+      const proto::TelemetryKey& bound = (*after)->entries.front().key;
+      run_end = std::lower_bound(key + 1, keys_.end(), bound, entry_below_key);
+    }
+    const std::vector<IndexEntry>& old = (*leaf)->entries;
+    if (!old.empty()) ++leaf_copies_;
+
+    // Merge: bulk-copy the old entries between insertion points.
+    auto fresh = std::make_shared<IndexLeaf>();
+    std::vector<IndexEntry>& merged = fresh->entries;
+    merged.reserve(old.size() + static_cast<std::size_t>(run_end - key));
+    auto from = old.begin();
+    for (; key != run_end; ++key) {
+      const auto at =
+          std::lower_bound(from, old.end(), key->key, entry_below_key);
+      merged.insert(merged.end(), from, at);
+      from = at;
+      if (at != old.end() && at->key == key->key) {
+        merged.push_back(*from++);
+        merged.back().primitives |= key->primitives;
       } else {
-        j = keys.size();
+        merged.push_back(*key);
+        ++key_count_;
       }
-
-      const std::vector<IndexEntry>& old = leaves_[target]->entries;
-      auto merged = std::make_shared<IndexLeaf>();
-      merged->entries.reserve(old.size() + (j - i));
-      std::size_t a = 0, b = i;
-      while (a < old.size() || b < j) {
-        if (a == old.size()) {
-          merged->entries.push_back(keys[b++]);
-          ++key_count_;
-        } else if (b == j) {
-          merged->entries.push_back(old[a++]);
-        } else if (index_key_less(old[a].key, keys[b].key)) {
-          merged->entries.push_back(old[a++]);
-        } else if (index_key_less(keys[b].key, old[a].key)) {
-          merged->entries.push_back(keys[b++]);
-          ++key_count_;
-        } else {
-          IndexEntry entry = old[a++];
-          entry.primitives |= keys[b++].primitives;
-          merged->entries.push_back(entry);
-        }
-      }
-      ++leaf_copies_;
-      leaves_[target] = std::move(merged);
-      i = j;
     }
-  }
+    merged.insert(merged.end(), from, old.end());
 
-  // Split oversized leaves (an apply can at most double a leaf, so one
-  // pass suffices). Splitting replaces fresh, unshared leaves only.
-  for (std::size_t l = 0; l < leaves_.size(); ++l) {
-    if (leaves_[l]->entries.size() <= 2u * target_leaf_entries_) continue;
-    const std::vector<IndexEntry>& big = leaves_[l]->entries;
-    const std::size_t half = big.size() / 2;
-    auto left = std::make_shared<IndexLeaf>(
-        IndexLeaf{{big.begin(), big.begin() + half}});
-    auto right = std::make_shared<IndexLeaf>(
-        IndexLeaf{{big.begin() + half, big.end()}});
-    leaves_[l] = std::move(left);
-    leaves_.insert(leaves_.begin() + l + 1, std::move(right));
+    // Only fresh leaves split. One over 2 x target (the first window
+    // lands every key in one leaf) becomes n / target even pieces.
+    const std::size_t n = merged.size();
+    if (n <= 2u * target_leaf_entries_) {
+      next_.push_back(std::move(fresh));
+    } else {
+      const std::size_t pieces = n / target_leaf_entries_;
+      for (std::size_t p = 0; p < pieces; ++p) {
+        auto piece = std::make_shared<IndexLeaf>();
+        piece->entries.assign(merged.begin() + n * p / pieces,
+                              merged.begin() + n * (p + 1) / pieces);
+        next_.push_back(std::move(piece));
+      }
+    }
+    settled = after;
   }
+  next_.insert(next_.end(), std::make_move_iterator(settled),
+               std::make_move_iterator(leaves_.end()));
+  leaves_.swap(next_);
+  next_.clear();  // drops the replaced leaves (published versions keep theirs)
 }
 
 std::shared_ptr<const ShardIndexVersion> ShardIndexBuilder::publish() const {

@@ -14,8 +14,10 @@
 // (DT_INCREMENTAL_BUILD / DT_DEFER_PUBLISH / DT_LEAF_ONLY_COW /
 // OVS_VERSION_MECHANISM): a published ShardIndexVersion is an immutable
 // vector of immutable sorted leaves, readers walk it lock-free, and the
-// builder replaces only the leaves a delta touches (leaf-only
-// copy-on-write) — the root is one shared_ptr vector copied per
+// builder replaces only the leaves a publish window touches (leaf-only
+// copy-on-write, once per publish: one sort of the window's keys, one
+// ordered pass that shares every untouched leaf and copies each
+// touched leaf once). The root is one shared_ptr vector copied per
 // publish. Versions carry the same generation stamp the SnapshotCache
 // compares, so "index generation >= snapshot generation" is the
 // consistency contract: the index then contains every key whose data is
@@ -29,9 +31,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "dta/wire.h"
 
 namespace dta::collector {
@@ -45,6 +49,8 @@ struct IndexEntry {
   proto::TelemetryKey key;
   std::uint8_t primitives = 0;
 };
+// Leaf merges copy runs of entries in bulk.
+static_assert(std::is_trivially_copyable_v<IndexEntry>);
 
 // The index orders keys lexicographically on their byte spans (shorter
 // key sorts first on a shared prefix) — TelemetryKey itself only
@@ -54,6 +60,9 @@ inline bool index_key_less(const proto::TelemetryKey& a,
   const common::ByteSpan sa = a.span(), sb = b.span();
   return std::lexicographical_compare(sa.begin(), sa.end(), sb.begin(),
                                       sb.end());
+}
+inline bool entry_below_key(const IndexEntry& e, const proto::TelemetryKey& k) {
+  return index_key_less(e.key, k);
 }
 
 // One delivered op batch's worth of index maintenance: the keys the
@@ -128,10 +137,7 @@ class ShardIndexVersion {
       const auto& entries = leaves_[leaf]->entries;
       pos = static_cast<std::size_t>(
           std::lower_bound(entries.begin(), entries.end(), *from,
-                           [](const IndexEntry& e,
-                              const proto::TelemetryKey& k) {
-                             return index_key_less(e.key, k);
-                           }) -
+                           entry_below_key) -
           entries.begin());
     }
     for (; leaf < leaves_.size(); ++leaf, pos = 0) {
@@ -161,17 +167,19 @@ class ShardIndexVersion {
   std::uint64_t key_count_;
 };
 
-// The incremental builder: applies deltas with leaf-only COW and stamps
-// out immutable versions on publish(). Not thread-safe — the publisher
-// serializes access.
+// The incremental builder: folds windows of deltas in with leaf-only
+// COW and stamps out immutable versions on publish(). Not thread-safe —
+// the publisher serializes access.
 class ShardIndexBuilder {
  public:
   explicit ShardIndexBuilder(std::uint32_t target_leaf_entries = 128);
 
-  // Folds one delta in: new keys inserted in order, existing keys get
-  // their primitive masks OR-merged, append heads advance. Only the
-  // leaves the delta's keys land in are copied.
-  void apply(const IndexDelta& delta);
+  // Folds a window of deltas in with one merge: new keys are inserted
+  // in order, existing keys get their primitive masks OR-merged, append
+  // heads advance. The window's keys are sorted once, and each leaf
+  // they land in is copied once; every other leaf is shared.
+  void apply(common::Span<const IndexDelta> window);
+  void apply(const IndexDelta& delta) { apply({&delta, 1}); }
 
   // Freezes the current state into an immutable version (cheap: copies
   // the leaf-pointer vector, shares every leaf).
@@ -179,6 +187,7 @@ class ShardIndexBuilder {
 
   std::uint64_t generation() const { return generation_; }
   std::uint64_t key_count() const { return key_count_; }
+  // Existing leaves replaced by a merged copy, over the builder's life.
   std::uint64_t leaf_copies() const { return leaf_copies_; }
 
  private:
@@ -188,6 +197,9 @@ class ShardIndexBuilder {
   std::uint64_t leaf_copies_ = 0;
   std::vector<std::shared_ptr<const IndexLeaf>> leaves_;
   std::vector<std::uint64_t> append_heads_;
+  // apply()'s scratch, kept for its capacity: window keys, output leaves.
+  std::vector<IndexEntry> keys_;
+  std::vector<std::shared_ptr<const IndexLeaf>> next_;
 };
 
 }  // namespace dta::collector

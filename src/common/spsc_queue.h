@@ -29,21 +29,27 @@ class SpscQueue {
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
-  // Producer side. Returns false when full.
+  // Producer side. Returns false when full. tail_ (the consumer's line)
+  // is reloaded only when the cached copy says the ring is full.
   bool try_push(T&& value) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail > mask_) return false;
+    if (head - tail_cache_ > mask_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (head - tail_cache_ > mask_) return false;
+    }
     slots_[head & mask_] = std::move(value);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
-  // Consumer side. Returns false when empty.
+  // Consumer side. Returns false when empty. head_ is reloaded only
+  // when the cached copy says the ring is empty.
   bool try_pop(T& out) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail == head) return false;
+    if (tail == head_cache_) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      if (tail == head_cache_) return false;
+    }
     out = std::move(slots_[tail & mask_]);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
@@ -63,12 +69,15 @@ class SpscQueue {
 
  private:
   // Indices grow monotonically; the mask maps them into the ring. Each
-  // index gets a cache line of its own, and the read-mostly slot vector
-  // + mask get a third: the producer dereferences the slot pointer on
-  // every push, so it must not share tail_'s line (every consumer-side
-  // tail_ store would otherwise bounce the producer's line too).
+  // side's index shares a cache line with that side's cached copy of
+  // the other index, and the read-mostly slot vector + mask get a third
+  // line: the producer dereferences the slot pointer on every push, so
+  // it must not share tail_'s line (every consumer-side tail_ store
+  // would otherwise bounce the producer's line too).
   alignas(64) std::atomic<std::size_t> head_{0};  // next write (producer)
+  std::size_t tail_cache_ = 0;                    // producer's copy of tail_
   alignas(64) std::atomic<std::size_t> tail_{0};  // next read (consumer)
+  std::size_t head_cache_ = 0;                    // consumer's copy of head_
   alignas(64) std::vector<T> slots_;
   std::size_t mask_ = 0;
 };

@@ -38,7 +38,7 @@ void AppendEngine::emit_batch(std::uint32_t list, ListState& st,
   ++stats_.writes_emitted;
 
   st.head_entry += st.batched;
-  if (st.head_entry >= geometry_.entries_per_list) st.head_entry = 0;
+  if (st.head_entry == geometry_.entries_per_list) st.head_entry = 0;
   st.batch = {};
   st.batched = 0;
 }
@@ -57,7 +57,10 @@ void AppendEngine::ingest(const proto::AppendReport& report, bool immediate,
     st.batch.insert(st.batch.end(), entry.begin(), entry.end());
     st.batch.resize((st.batched + 1) * geometry_.entry_bytes, 0);
     ++st.batched;
-    if (st.batched == batch_size_) {
+    // A partial flush leaves the head off the batch grid, so a batch
+    // also goes out when it reaches the ring end: no WRITE crosses it.
+    if (st.batched == batch_size_ ||
+        st.head_entry + st.batched == geometry_.entries_per_list) {
       emit_batch(report.list_id, st, immediate, out);
     }
   }

@@ -44,8 +44,8 @@ struct AppendStats {
 class AppendEngine {
  public:
   // `batch_size` B: number of entries coalesced into one RDMA WRITE.
-  // Entries_per_list must be a multiple of B so batches never straddle
-  // the ring wrap (the hardware prototype guarantees this by allocation).
+  // Entries_per_list is a multiple of B; a batch also ends at the ring
+  // end, so no WRITE straddles the wrap even after a partial flush.
   AppendEngine(AppendGeometry geometry, std::uint32_t batch_size);
 
   // Ingests the entries of one Append report; appends any triggered

@@ -213,6 +213,40 @@ TEST(CollectorRuntimeTest, FlushAlsoDrainsAppendBatches) {
   EXPECT_EQ(drained, (std::vector<std::uint32_t>{40, 41, 42, 43, 44}));
 }
 
+TEST(CollectorShardTest, PartialFlushOnTheLastListKeepsVerbsInsideTheRegion) {
+  // A flush leaves list 1's head at 5, off the 16-entry batch grid.
+  // List 1 is the shard's last list, so a batch written across its ring
+  // end would run past the append region and put the queue pair in the
+  // error state. Three more laps must all land inside the ring.
+  ShardConfig config;
+  AppendSetup ap;
+  ap.num_lists = 2;
+  ap.entries_per_list = 64;
+  ap.entry_bytes = 4;
+  config.append = ap;
+  config.append_batch_size = 16;
+  CollectorShard shard(0, config);
+  constexpr std::uint32_t kTotal = 5 + 3 * 64;
+  std::uint32_t value = 0;
+  for (; value < 5; ++value) shard.ingest(reports::append_u32(1, value));
+  shard.flush();
+  for (; value < kTotal; ++value) shard.ingest(reports::append_u32(1, value));
+  shard.flush();
+
+  EXPECT_EQ(shard.stats().verbs_failed, 0u);
+  EXPECT_EQ(shard.stats().verbs_executed,
+            shard.translation_stats().append_writes);
+  EXPECT_EQ(shard.append_delivered()[1], kTotal);
+  // The ring holds the last lap: slot s holds the latest entry v with
+  // v % 64 == s.
+  AppendStore& store = *shard.service().append();
+  for (std::uint32_t slot = 0; slot < 64; ++slot) {
+    EXPECT_EQ(common::load_u32(store.poll(1).data()),
+              slot + 64 * ((kTotal - 1 - slot) / 64))
+        << "slot " << slot;
+  }
+}
+
 TEST(CollectorRuntimeTest, FlushAndSubmitAfterStopAreSafe) {
   // stop() joins the workers; later flush()/report() must fall back to
   // the caller thread instead of waiting on (or enqueueing for) workers

@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -157,6 +158,188 @@ TEST(ShardIndexBuilder, LeafOnlyCowSharesUntouchedLeaves) {
   EXPECT_EQ(after->lookup(u32_key(30)), kIndexKeyWrite | kIndexKeyIncrement);
   // The old version is immutable: still the old mask.
   EXPECT_EQ(before->lookup(u32_key(30)), kIndexKeyWrite);
+}
+
+// A window of `count` deltas, 8 keys each, over an id space of `ids`
+// (overlapping keys with varying masks) plus append increments.
+std::vector<IndexDelta> make_deltas(std::uint64_t first_generation,
+                                    std::uint32_t count, std::uint32_t ids) {
+  std::vector<IndexDelta> deltas(count);
+  for (std::uint32_t d = 0; d < count; ++d) {
+    IndexDelta& delta = deltas[d];
+    delta.generation = first_generation + d;
+    for (std::uint32_t j = 0; j < 8; ++j) {
+      const std::uint64_t mixed = (delta.generation * 8 + j) * 2654435761u;
+      const auto id = static_cast<std::uint32_t>(mixed % ids);
+      const std::uint8_t mask = static_cast<std::uint8_t>(1u << (id % 3));
+      delta.keys.push_back({u32_key(id), mask});
+    }
+    delta.append_deltas.emplace_back(d % 3, d + 1);
+  }
+  return deltas;
+}
+
+// Every leaf non-empty and at most 2 x target entries, and keys
+// strictly increasing across leaf boundaries.
+void expect_leaf_shape(const ShardIndexVersion& version,
+                       std::uint32_t target) {
+  const TelemetryKey* prev = nullptr;
+  for (std::size_t l = 0; l < version.leaves().size(); ++l) {
+    const auto& entries = version.leaves()[l]->entries;
+    ASSERT_FALSE(entries.empty()) << "leaf " << l;
+    EXPECT_LE(entries.size(), 2u * target) << "leaf " << l;
+    for (const IndexEntry& entry : entries) {
+      if (prev != nullptr) {
+        ASSERT_TRUE(index_key_less(*prev, entry.key)) << "leaf " << l;
+      }
+      prev = &entry.key;
+    }
+  }
+}
+
+TEST(ShardIndexBuilder, WindowFoldEqualsSingleAppliesAndOneShot) {
+  // The same 60 deltas folded in uneven windows, applied one at a
+  // time, and merged into one delta must give the same index at every
+  // leaf geometry.
+  const std::vector<IndexDelta> deltas = make_deltas(1, 60, 400);
+  IndexDelta merged;
+  merged.generation = deltas.back().generation;
+  for (const IndexDelta& delta : deltas) {
+    merged.keys.insert(merged.keys.end(), delta.keys.begin(),
+                       delta.keys.end());
+    merged.append_deltas.insert(merged.append_deltas.end(),
+                                delta.append_deltas.begin(),
+                                delta.append_deltas.end());
+  }
+  for (std::uint32_t target : {2u, 4u, 128u}) {
+    SCOPED_TRACE(target);
+    ShardIndexBuilder folded(target);
+    ShardIndexBuilder single(target);
+    ShardIndexBuilder one_shot(target);
+    std::size_t at = 0;
+    for (std::size_t window : {1u, 3u, 16u, 7u, 33u}) {
+      folded.apply(
+          common::Span<const IndexDelta>(deltas).subspan(at, window));
+      at += window;
+    }
+    ASSERT_EQ(at, deltas.size());
+    for (const IndexDelta& delta : deltas) single.apply(delta);
+    one_shot.apply(merged);
+
+    const auto a = folded.publish();
+    const auto b = single.publish();
+    const auto c = one_shot.publish();
+    for (const auto* version : {a.get(), b.get(), c.get()}) {
+      EXPECT_EQ(version->generation(), merged.generation);
+      EXPECT_EQ(version->key_count(), a->key_count());
+      expect_leaf_shape(*version, target);
+      for (std::uint32_t list = 0; list < 3; ++list) {
+        EXPECT_EQ(version->append_head(list), a->append_head(list));
+      }
+    }
+    expect_same_entries(flatten(*a), flatten(*b));
+    expect_same_entries(flatten(*a), flatten(*c));
+    EXPECT_GT(a->append_head(0), 0u);
+  }
+}
+
+TEST(ShardIndexBuilder, FirstWindowSplitsIntoBoundedSortedLeaves) {
+  // 512 distinct keys (64 x the 2 x target bound) land in the empty
+  // builder's one leaf; the fold cuts them into target-sized pieces.
+  constexpr std::uint32_t kTarget = 4;
+  std::vector<IndexDelta> window(16);
+  for (std::uint32_t d = 0; d < window.size(); ++d) {
+    window[d].generation = d + 1;
+    for (std::uint32_t j = 0; j < 32; ++j) {
+      // Interleaved across deltas, so the window arrives unsorted.
+      window[d].keys.push_back({u32_key(j * 16 + d), kIndexKeyWrite});
+    }
+  }
+  ShardIndexBuilder builder(kTarget);
+  builder.apply(window);
+  EXPECT_EQ(builder.key_count(), 512u);
+  EXPECT_EQ(builder.leaf_copies(), 0u);  // nothing existed to copy
+  const auto version = builder.publish();
+  expect_leaf_shape(*version, kTarget);
+  EXPECT_EQ(version->leaves().size(), 512u / kTarget);
+  const auto entries = flatten(*version);
+  ASSERT_EQ(entries.size(), 512u);
+  for (std::uint32_t id = 0; id < 512; ++id) {
+    EXPECT_EQ(entries[id].key, u32_key(id));
+  }
+}
+
+TEST(ShardIndexBuilder, LeafCopiesBoundedByTouchedLeaves) {
+  constexpr std::uint32_t kTarget = 8;
+  ShardIndexBuilder builder(kTarget);
+  builder.apply(make_deltas(1, 64, 2000));
+  const auto before = builder.publish();
+  ASSERT_GT(before->leaves().size(), 16u);
+
+  // The leaf each key lands in: the last whose first key is <= it.
+  const auto& leaves = before->leaves();
+  const auto leaf_of = [&](const TelemetryKey& key) {
+    std::size_t leaf = 0;
+    while (leaf + 1 < leaves.size() &&
+           !index_key_less(key, leaves[leaf + 1]->entries.front().key)) {
+      ++leaf;
+    }
+    return leaf;
+  };
+  const std::vector<IndexDelta> window = make_deltas(65, 64, 2000);
+  std::set<std::size_t> touched;
+  for (const IndexDelta& delta : window) {
+    for (const IndexEntry& entry : delta.keys) {
+      touched.insert(leaf_of(entry.key));
+    }
+  }
+  const std::uint64_t copies = builder.leaf_copies();
+  builder.apply(window);
+  EXPECT_GT(builder.leaf_copies(), copies);
+  EXPECT_LE(builder.leaf_copies() - copies, touched.size());
+
+  // A window of 20 deltas that all land in one leaf copies it once.
+  std::vector<IndexDelta> same_leaf(20);
+  const TelemetryKey key = leaves[3]->entries.front().key;
+  for (std::uint32_t d = 0; d < same_leaf.size(); ++d) {
+    same_leaf[d].generation = 200 + d;
+    same_leaf[d].keys.push_back({key, kIndexKeyIncrement});
+  }
+  const std::uint64_t copies_before_same = builder.leaf_copies();
+  builder.apply(same_leaf);
+  EXPECT_EQ(builder.leaf_copies(), copies_before_same + 1);
+  expect_leaf_shape(*builder.publish(), kTarget);
+}
+
+TEST(ShardIndexBuilder, PublishedVersionStaysIdenticalAcrossLaterFolds) {
+  constexpr std::uint32_t kTarget = 4;
+  ShardIndexBuilder builder(kTarget);
+  builder.apply(make_deltas(1, 32, 300));
+  const auto published = builder.publish();
+  const std::vector<IndexEntry> frozen = flatten(*published);
+  const std::uint64_t frozen_keys = published->key_count();
+  const std::uint64_t frozen_generation = published->generation();
+  const std::vector<std::uint64_t> frozen_heads = published->append_heads();
+  std::vector<std::size_t> frozen_sizes;
+  for (const auto& leaf : published->leaves()) {
+    frozen_sizes.push_back(leaf->entries.size());
+  }
+
+  // Later windows insert new keys (splitting leaves) and OR new mask
+  // bits into keys the published version already holds.
+  for (std::uint64_t w = 0; w < 6; ++w) {
+    builder.apply(make_deltas(33 + w * 16, 16, 600));
+  }
+  ASSERT_GT(builder.key_count(), frozen_keys);
+
+  EXPECT_EQ(published->key_count(), frozen_keys);
+  EXPECT_EQ(published->generation(), frozen_generation);
+  EXPECT_EQ(published->append_heads(), frozen_heads);
+  ASSERT_EQ(published->leaves().size(), frozen_sizes.size());
+  for (std::size_t l = 0; l < frozen_sizes.size(); ++l) {
+    EXPECT_EQ(published->leaves()[l]->entries.size(), frozen_sizes[l]);
+  }
+  expect_same_entries(flatten(*published), frozen);
 }
 
 // --------------------------------------------------------- publisher

@@ -425,6 +425,40 @@ TEST_F(AppendEngineTest, FlushEmitsPartialBatch) {
   EXPECT_EQ(ops[0].payload.size(), 20u);
 }
 
+TEST_F(AppendEngineTest, PartialFlushThenFullBatchesStayInsideTheRing) {
+  // A partial flush leaves the head off the batch grid (3 of 64). Full
+  // batches after it must end at the ring end rather than write past
+  // it, and the head must wrap to 0 with every entry's ring position
+  // (cumulative entries mod list length) landing where the WRITE put it.
+  AppendEngine engine(geometry_, 4);
+  std::vector<RdmaOp> ops;
+  std::uint32_t value = 0;
+  for (; value < 3; ++value) engine.ingest(entry(3, value), false, ops);
+  engine.flush_all(ops);
+  for (; value < 3 + 3 * 64; ++value) {
+    engine.ingest(entry(3, value), false, ops);
+  }
+  engine.flush_all(ops);
+  const std::uint64_t list_base = geometry_.list_base(3);
+  const std::uint64_t list_end = list_base + geometry_.list_bytes();
+  std::uint64_t delivered = 0;
+  for (const RdmaOp& op : ops) {
+    ASSERT_GE(op.remote_va, list_base);
+    ASSERT_LE(op.remote_va + op.payload.size(), list_end)
+        << "WRITE crosses the ring end at entry " << delivered;
+    ASSERT_LE(op.payload.size(), 4u * 4u);
+    const std::uint64_t entries = op.payload.size() / 4;
+    EXPECT_EQ(op.remote_va,
+              list_base + (delivered % geometry_.entries_per_list) * 4);
+    for (std::uint64_t e = 0; e < entries; ++e) {
+      EXPECT_EQ(common::load_u32(op.payload.data() + e * 4), delivered + e);
+    }
+    delivered += entries;
+  }
+  EXPECT_EQ(delivered, 3u + 3 * 64);
+  EXPECT_EQ(engine.head(3), delivered % geometry_.entries_per_list);
+}
+
 TEST_F(AppendEngineTest, NoBatchingEmitsPerEntry) {
   AppendEngine engine(geometry_, 1);
   std::vector<RdmaOp> ops;
